@@ -174,7 +174,8 @@ func TestBatchingOnSequentialMatchesSeedAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Join(runClusterWorkload(t, sys), "\n") + "\n"
+	lines, _ := runClusterWorkload(t, sys)
+	got := strings.Join(lines, "\n") + "\n"
 	want, err := os.ReadFile("testdata/seed_m1_answers.tsv")
 	if err != nil {
 		t.Fatal(err)
