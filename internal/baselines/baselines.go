@@ -27,15 +27,6 @@ type Baseline interface {
 	Run(ctx context.Context, query string) (Result, error)
 }
 
-// sumDur adds up recorded call durations (sequential execution model).
-func sumDur(calls []llm.Call) time.Duration {
-	var d time.Duration
-	for _, c := range calls {
-		d += c.Dur
-	}
-	return d
-}
-
 // docTexts fetches rendered texts for store ids.
 func docTexts(store *docstore.Store, ids []int) []string {
 	out := make([]string, 0, len(ids))

@@ -88,8 +88,8 @@ func (b *Exhaust) Run(ctx context.Context, query string) (Result, error) {
 				continue
 			}
 			answers = append(answers, formatValue(b.Store, res.Answer))
-			totalExec += res.Makespan + ostats.Duration/time.Duration(b.Slots)
-			totalCalls += res.LLMCalls + len(ostats.Calls)
+			totalExec += res.Makespan + ostats.EstimationDur
+			totalCalls += len(res.Calls) + len(ostats.Calls)
 		}
 	}
 	if len(answers) == 0 {
@@ -114,7 +114,7 @@ func (b *Exhaust) Run(ctx context.Context, query string) (Result, error) {
 	totalCalls += len(rec.Calls())
 	return Result{
 		Text:     answers[idx],
-		Latency:  pstats.Duration + totalExec + sumDur(rec.Calls()),
+		Latency:  pstats.Duration + totalExec + llm.Fold(rec.Calls()).Dur,
 		LLMCalls: totalCalls,
 	}, nil
 }
@@ -127,7 +127,7 @@ func (b *Exhaust) fallback(ctx context.Context, query string, pstats *core.PlanS
 	}
 	return Result{
 		Text:     text,
-		Latency:  pstats.Duration + sumDur(calls),
+		Latency:  pstats.Duration + llm.Fold(calls).Dur,
 		LLMCalls: len(pstats.Calls) + len(calls),
 	}, nil
 }

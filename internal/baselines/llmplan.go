@@ -60,7 +60,7 @@ func (b *LLMPlan) Run(ctx context.Context, query string) (Result, error) {
 			return Result{}, err
 		}
 		all := append(planRec.Calls(), calls...)
-		return Result{Text: text, Latency: sumDur(all), LLMCalls: len(all)}, nil
+		return Result{Text: text, Latency: llm.Fold(all).Dur, LLMCalls: len(all)}, nil
 	}
 
 	vars := map[string]values.Value{}
@@ -103,7 +103,7 @@ func (b *LLMPlan) Run(ctx context.Context, query string) (Result, error) {
 	text := formatValue(b.Store, final)
 	return Result{
 		Text:     text,
-		Latency:  sumDur(planRec.Calls()) + sched.Makespan,
+		Latency:  llm.Fold(planRec.Calls()).Dur + sched.Makespan,
 		LLMCalls: totalCalls,
 	}, nil
 }
@@ -115,7 +115,7 @@ func (b *LLMPlan) bail(ctx context.Context, query string, planRec *llm.Recorder)
 		return Result{}, err
 	}
 	all := append(planRec.Calls(), calls...)
-	return Result{Text: text, Latency: sumDur(all), LLMCalls: len(all)}, nil
+	return Result{Text: text, Latency: llm.Fold(all).Dur, LLMCalls: len(all)}, nil
 }
 
 func (b *LLMPlan) resolveInputs(st oneshotStep, vars map[string]values.Value) []values.Value {

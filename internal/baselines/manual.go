@@ -51,7 +51,7 @@ func (b *Manual) Run(ctx context.Context, query string) (Result, error) {
 		if gerr != nil {
 			return Result{}, gerr
 		}
-		return Result{Text: text, Latency: b.DesignTime + sumDur(calls), LLMCalls: len(calls)}, nil
+		return Result{Text: text, Latency: b.DesignTime + llm.Fold(calls).Dur, LLMCalls: len(calls)}, nil
 	}
 	calib := cost.NewCalibrator(b.Batch)
 	est := sce.NewEstimator(b.Store, b.Worker, 8)
@@ -71,7 +71,7 @@ func (b *Manual) Run(ctx context.Context, query string) (Result, error) {
 	return Result{
 		Text:     formatValue(b.Store, res.Answer),
 		Latency:  b.DesignTime + res.Makespan,
-		LLMCalls: res.LLMCalls,
+		LLMCalls: len(res.Calls),
 	}, nil
 }
 

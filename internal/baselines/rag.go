@@ -41,7 +41,7 @@ func (r *RAG) Run(ctx context.Context, query string) (Result, error) {
 	}
 	return Result{
 		Text:     text,
-		Latency:  retrievalOverhead + sumDur(calls),
+		Latency:  retrievalOverhead + llm.Fold(calls).Dur,
 		LLMCalls: len(calls),
 	}, nil
 }
@@ -96,6 +96,6 @@ func (r *RecurRAG) Run(ctx context.Context, query string) (Result, error) {
 		return Result{}, err
 	}
 	allCalls := append(rec.Calls(), calls...)
-	lat := retrievalOverhead*time.Duration(len(subs)) + sumDur(allCalls)
+	lat := retrievalOverhead*time.Duration(len(subs)) + llm.Fold(allCalls).Dur
 	return Result{Text: text, Latency: lat, LLMCalls: len(allCalls)}, nil
 }

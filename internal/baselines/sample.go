@@ -91,7 +91,7 @@ func (b *Sample) Run(ctx context.Context, query string) (Result, error) {
 	// intermediate result.
 	return Result{
 		Text:     strings.TrimSpace(resp.Text),
-		Latency:  sumDur(calls),
+		Latency:  llm.Fold(calls).Dur,
 		LLMCalls: len(calls),
 	}, nil
 }

@@ -172,13 +172,6 @@ func serveLevelCapture(ctx context.Context, sys *unify.System, queries []workloa
 	return pt, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // PrintServeBench renders the serving sweep.
 func PrintServeBench(w io.Writer, r *ServeResult) {
 	fmt.Fprintf(w, "Serving sweep — %s, %d queries per level, %d slots\n", r.Dataset, r.Queries, r.Slots)

@@ -195,7 +195,7 @@ func (p *Planner) GeneratePlans(ctx context.Context, query string) ([]*Plan, *Pl
 	}
 
 	ps.stats.Calls = rec.Calls()
-	ps.stats.Duration = rec.TotalDur()
+	ps.stats.Duration = llm.Fold(ps.stats.Calls).Dur
 	pspan.SetInt("plans", len(ps.plans))
 	pspan.SetInt("llm_calls", len(ps.stats.Calls))
 	if n := len(ps.stats.Unresolved); n > 0 {

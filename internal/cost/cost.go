@@ -86,13 +86,12 @@ func (c *Calibrator) RecordLLM(phys string, card int, calls []llm.Call) {
 		st = &llmStat{}
 		c.llmStats[phys] = st
 	}
+	t := llm.Fold(calls)
 	st.items += card
-	st.calls += len(calls)
-	for _, call := range calls {
-		st.tokens += call.OutTokens
-		c.totalTokens += call.OutTokens
-		c.totalDur += call.Dur
-	}
+	st.calls += t.Calls
+	st.tokens += t.OutTokens
+	c.totalTokens += t.OutTokens
+	c.totalDur += t.Dur
 }
 
 // RecordPre feeds one pre-programmed execution into the model.

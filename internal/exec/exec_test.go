@@ -60,7 +60,7 @@ func TestRunCountPlan(t *testing.T) {
 	if err != nil || got != want {
 		t.Errorf("answer %q, want %d", res.Answer.String(), want)
 	}
-	if res.Makespan <= 0 || res.LLMCalls == 0 {
+	if res.Makespan <= 0 || len(res.Calls) == 0 {
 		t.Errorf("accounting missing: %+v", res)
 	}
 	if res.Serial < res.Makespan {

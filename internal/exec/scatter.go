@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"unify/internal/check"
 	"unify/internal/core"
@@ -65,12 +64,7 @@ func (e *Executor) runScatter(ctx context.Context, n *core.Node, phys *ops.Physi
 		if len(ids) == 0 {
 			continue // empty shard: identity partial
 		}
-		rec := llm.NewRecorder(e.Worker)
-		var cli llm.Client = rec
-		if span != nil {
-			cli = llm.NewTraced(rec, span)
-		}
-		env := &ops.Env{Store: e.Store, Client: cli, BatchSize: e.batch(), Budget: fb, Views: e.Views}
+		env, rec := e.env(span, fb)
 		sin := make([]values.Value, len(inputs))
 		copy(sin, inputs)
 		sin[0] = values.NewDocs(ids)
@@ -110,55 +104,7 @@ func (e *Executor) runScatter(ctx context.Context, n *core.Node, phys *ops.Physi
 		MergeCalls:  mergeCalls,
 		Span:        span,
 	}
-	live := make([]llm.Call, 0, len(all))
-	for _, c := range all {
-		if !c.Cached {
-			live = append(live, c)
-		}
-	}
-	// View-served judgments shrink the calibration work like cache hits.
-	calWork := inCard
-	if calWork > viewHits {
-		calWork -= viewHits
-	} else if viewHits > 0 {
-		calWork = 0
-	}
-	if len(live) > 0 {
-		lw := calWork
-		if len(live) < len(all) {
-			lw = calWork * len(live) / len(all)
-		}
-		e.Calib.RecordLLM(phys.Name, lw, live)
-	}
-	var busy time.Duration
-	var inTok, outTok, retries int
-	for _, c := range all {
-		busy += c.Dur
-		inTok += c.InTokens
-		outTok += c.OutTokens
-		retries += c.Retries
-	}
-	nr.Retries = retries
-	span.SetVDur(busy)
-	span.SetAttr("phys", phys.Name)
-	span.SetInt("scatter", m)
-	span.SetInt("in_card", inCard)
-	span.SetInt("out_card", merged.Len())
-	span.SetInt("llm_calls", len(all))
-	if nc := len(all) - len(live); nc > 0 {
-		span.SetInt("cached_calls", nc)
-	}
-	span.SetInt("in_tokens", inTok)
-	span.SetInt("out_tokens", outTok)
-	if retries > 0 {
-		span.SetInt("retries", retries)
-	}
-	if nr.SkippedDocs > 0 {
-		span.SetInt("skipped_docs", nr.SkippedDocs)
-	}
-	if nr.ViewHits > 0 {
-		span.SetInt("view_hits", nr.ViewHits)
-	}
+	e.finish(nr, phys, inCard)
 	return nr, nil
 }
 
@@ -250,12 +196,7 @@ func (e *Executor) mergeShards(ctx context.Context, n *core.Node, phys *ops.Phys
 		if len(union) == 0 {
 			return values.Value{}, nil, nil, 0, fmt.Errorf("exec: top-k scatter produced no candidates")
 		}
-		rec := llm.NewRecorder(e.Worker)
-		var cli llm.Client = rec
-		if span != nil {
-			cli = llm.NewTraced(rec, span)
-		}
-		env := &ops.Env{Store: e.Store, Client: cli, BatchSize: e.batch(), Budget: fb, Views: e.Views}
+		env, rec := e.env(span, fb)
 		v, err := phys.Run(ctx, env, n.Args, []values.Value{values.NewDocs(union)})
 		if err != nil {
 			return values.Value{}, nil, nil, 0, fmt.Errorf("exec: top-k combine: %w", err)

@@ -215,6 +215,30 @@ func TestLatencyModel(t *testing.T) {
 	}
 }
 
+func TestFold(t *testing.T) {
+	calls := []Call{
+		{InTokens: 10, OutTokens: 2, Dur: 300 * time.Millisecond},
+		{InTokens: 7, OutTokens: 1, Cached: true},
+		{InTokens: 5, OutTokens: 3, Dur: 200 * time.Millisecond, Retries: 2},
+	}
+	got := Fold(calls)
+	want := Tally{Calls: 3, Cached: 1, InTokens: 22, OutTokens: 6, Retries: 2, Dur: 500 * time.Millisecond}
+	if got != want {
+		t.Fatalf("Fold = %+v, want %+v", got, want)
+	}
+	if got.Live() != 2 {
+		t.Errorf("Live = %d, want 2", got.Live())
+	}
+	c := got.Cost(time.Second)
+	if c.Executions != 1 || c.LLMCalls != 2 || c.CachedCalls != 1 || c.InTokens != 22 ||
+		c.OutTokens != 6 || c.Retries != 2 || c.Busy != time.Second {
+		t.Errorf("Cost = %+v", c)
+	}
+	if (Fold(nil) != Tally{}) {
+		t.Errorf("Fold(nil) = %+v, want zero", Fold(nil))
+	}
+}
+
 func TestRecorder(t *testing.T) {
 	s := testSim()
 	rec := NewRecorder(s)
@@ -223,8 +247,8 @@ func TestRecorder(t *testing.T) {
 	if len(calls) != 1 || calls[0].Task != "filter_doc" || calls[0].Dur <= 0 {
 		t.Errorf("calls = %+v", calls)
 	}
-	if rec.TotalDur() != calls[0].Dur {
-		t.Error("TotalDur mismatch")
+	if Fold(calls).Dur != calls[0].Dur {
+		t.Error("folded duration mismatch")
 	}
 	rec.Reset()
 	if len(rec.Calls()) != 0 {

@@ -35,7 +35,7 @@ func TestRecorderConcurrent(t *testing.T) {
 	if got := len(rec.Calls()); got != workers*per {
 		t.Errorf("recorded %d calls, want %d", got, workers*per)
 	}
-	if rec.TotalDur() <= 0 {
+	if Fold(rec.Calls()).Dur <= 0 {
 		t.Error("total duration not positive")
 	}
 }

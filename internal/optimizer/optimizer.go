@@ -119,8 +119,10 @@ func planEntryCost(e planEntry) int64 {
 // Stats reports optimization cost (SCE judgments are LLM work and are
 // charged to the planning clock).
 type Stats struct {
-	Calls    []llm.Call
-	Duration time.Duration
+	Calls []llm.Call
+	// EstimationDur is the estimation work's charge to the query clock
+	// (see Optimizer.charge).
+	EstimationDur time.Duration
 	// EstimatedCost is the predicted makespan of the chosen plan.
 	EstimatedCost time.Duration
 	// PlanCacheHit reports that the whole optimization was served from
@@ -218,21 +220,21 @@ func (o *Optimizer) optimize(ctx context.Context, key string, plans []*core.Plan
 			// Cardinality estimation (SCE) drives the filter reordering;
 			// its LLM judgments are the optimizer's only model cost.
 			espan := cspan.StartChild("estimate_cardinality", obs.KindPhase)
-			durBefore, callsBefore := stats.Duration, len(stats.Calls)
+			before := len(stats.Calls)
 			if err := o.reorderFilters(ctx, plan, stats); err != nil {
 				return nil, nil, err
 			}
-			espan.SetVDur(stats.Duration - durBefore)
-			espan.SetInt("llm_calls", len(stats.Calls)-callsBefore)
+			espan.SetVDur(llm.Fold(stats.Calls[before:]).Dur)
+			espan.SetInt("llm_calls", len(stats.Calls)-before)
 			espan.End()
 		}
 		lspan := cspan.StartChild("lower_physical", obs.KindPhase)
-		durBefore, callsBefore := stats.Duration, len(stats.Calls)
+		before := len(stats.Calls)
 		if err := o.selectPhysical(ctx, plan, stats); err != nil {
 			return nil, nil, err
 		}
-		lspan.SetVDur(stats.Duration - durBefore)
-		lspan.SetInt("llm_calls", len(stats.Calls)-callsBefore)
+		lspan.SetVDur(llm.Fold(stats.Calls[before:]).Dur)
+		lspan.SetInt("llm_calls", len(stats.Calls)-before)
 		lspan.End()
 		c, err := o.planCost(plan)
 		if err != nil {
@@ -245,6 +247,7 @@ func (o *Optimizer) optimize(ctx context.Context, key string, plans []*core.Plan
 			// candidate wins.
 			cspan.SetAttr("chosen", "true")
 			stats.EstimatedCost = c
+			stats.EstimationDur = o.charge(stats.Calls)
 			o.plans.Put(key, planEntry{plan: plan.Clone(), cost: c})
 			return plan, stats, nil
 		}
@@ -256,6 +259,7 @@ func (o *Optimizer) optimize(ctx context.Context, key string, plans []*core.Plan
 	}
 	bestSpan.SetAttr("chosen", "true")
 	stats.EstimatedCost = bestCost
+	stats.EstimationDur = o.charge(stats.Calls)
 	o.plans.Put(key, planEntry{plan: best.Clone(), cost: bestCost})
 	return best, stats, nil
 }
@@ -331,8 +335,9 @@ func (o *Optimizer) ParsedSignature(canonical string) string {
 // already known are left untouched; every other node gets a fresh
 // physical selection and EstCard under the corrected cardinalities. The
 // returned duration is the simulated cost of any estimation the replan
-// performed (charged to the execution clock by the caller). The plan
-// cache is bypassed: replanned plans are query-state-specific.
+// performed, charged like Stats.EstimationDur (the caller adds it to the
+// execution clock). The plan cache is bypassed: replanned plans are
+// query-state-specific.
 func (o *Optimizer) Reoptimize(ctx context.Context, plan *core.Plan, known map[string]core.Known) (time.Duration, error) {
 	order, err := plan.Topo()
 	if err != nil {
@@ -359,11 +364,19 @@ func (o *Optimizer) Reoptimize(ctx context.Context, plan *core.Plan, known map[s
 		}
 		out, err := o.lowerNode(ctx, plan, n, ins, stats)
 		if err != nil {
-			return stats.Duration, err
+			return o.charge(stats.Calls), err
 		}
 		vars["{"+n.OutVar+"}"] = out
 	}
-	return stats.Duration, nil
+	return o.charge(stats.Calls), nil
+}
+
+// charge is the virtual time estimation calls cost the query: SCE
+// judgments parallelize across the slot pool, so the serial sum of their
+// durations divides by Slots. Every estimation charge (initial
+// optimization and replanning alike) goes through here.
+func (o *Optimizer) charge(calls []llm.Call) time.Duration {
+	return llm.Fold(calls).Dur / time.Duration(o.Slots)
 }
 
 // --- selectivity estimation ---
@@ -436,9 +449,6 @@ func (o *Optimizer) estimateSelectivity(ctx context.Context, condText string, st
 			return 0, err
 		}
 		stats.Calls = append(stats.Calls, calls...)
-		for _, c := range calls {
-			stats.Duration += c.Dur
-		}
 		sel = est / float64(n)
 	}
 	if sel < 0.001 {
@@ -873,13 +883,6 @@ func classAttrWord(attr string) bool {
 		return true
 	}
 	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // pick is a deterministic pseudo-random choice for Rule mode.

@@ -518,13 +518,6 @@ func (g *gen) instantiate(tpl, i int) (Query, bool) {
 	return q, true
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Score reports whether an answer string matches the query's ground
 // truth. Numeric answers use a 5% relative (or small absolute) tolerance,
 // matching how the paper treats aggregate answers computed over
