@@ -133,7 +133,7 @@ func (u *unifyBaseline) Run(ctx context.Context, query string) (baselines.Result
 
 // openSystem builds the standard Unify system for a dataset.
 func openSystem(ds *corpus.Dataset, mode optimizer.Mode) (*unify.System, error) {
-	return unify.OpenDataset(ds, unify.Config{Dataset: ds.Name, Mode: mode, TrainSCE: true})
+	return unify.New(unify.WithConfig(unify.Config{Dataset: ds.Name, Mode: mode, TrainSCE: true}), unify.WithCorpus(ds))
 }
 
 // buildBaseline constructs a named method over a dataset.

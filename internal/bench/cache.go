@@ -122,7 +122,7 @@ func RunCacheBench(ctx context.Context, cfg Config) (*CacheBenchResult, error) {
 
 	// Control: the same batch with caching disabled (CacheBytes < 0) —
 	// the seed system's behavior, against which cold latency must hold.
-	unc, err := unify.OpenDataset(ds, unify.Config{Dataset: name, TrainSCE: true, CacheBytes: -1})
+	unc, err := unify.New(unify.WithConfig(unify.Config{Dataset: name, TrainSCE: true, CacheBytes: -1}), unify.WithCorpus(ds))
 	if err != nil {
 		return nil, err
 	}

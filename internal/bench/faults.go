@@ -84,14 +84,14 @@ func RunFaultBench(ctx context.Context, cfg Config) (*FaultBenchResult, error) {
 	}}})
 
 	for _, sw := range sweeps {
-		sys, err := unify.OpenDataset(ds, unify.Config{
+		sys, err := unify.New(unify.WithConfig(unify.Config{
 			Dataset:         ds.Name,
 			TrainSCE:        true,
 			FaultPlan:       sw.plan,
 			MaxRetries:      3,
 			NodeErrorBudget: 2,
 			ReplanThreshold: 3,
-		})
+		}), unify.WithCorpus(ds))
 		if err != nil {
 			return nil, err
 		}

@@ -14,8 +14,8 @@ import (
 // Option configures system construction for New.
 type Option func(*openOptions)
 
-// openOptions collects construction state: the Config plus the inputs the
-// legacy Open* constructors took as positional arguments.
+// openOptions collects construction state: the Config plus an optional
+// pre-generated corpus and model clients.
 type openOptions struct {
 	cfg     Config
 	ds      *corpus.Dataset
@@ -202,8 +202,7 @@ func WithSlowQueryVTime(d time.Duration) Option {
 //
 //	sys, err := unify.New(unify.WithDataset("sports"), unify.WithSize(500))
 //
-// With no options it opens the paper's default configuration. New
-// subsumes the deprecated Open/OpenDataset/OpenWithClients constructors.
+// With no options it opens the paper's default configuration.
 func New(opts ...Option) (*System, error) {
 	var o openOptions
 	for _, opt := range opts {

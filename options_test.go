@@ -11,17 +11,18 @@ import (
 	"unify/internal/optimizer"
 )
 
-// TestNewMatchesOpenDataset verifies the functional constructor builds a
-// system equivalent to the deprecated positional one: same answer text
-// for the same query on the same corpus and simulator seed.
-func TestNewMatchesOpenDataset(t *testing.T) {
+// TestWithConfigMatchesOptions verifies that seeding New from a whole
+// Config and setting the same fields through individual options build
+// equivalent systems: same answer text for the same query on the same
+// corpus and simulator seed.
+func TestWithConfigMatchesOptions(t *testing.T) {
 	ds, err := corpus.GenerateN("sports", 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := llm.SimConfig{Profile: llm.WorkerProfile(), Seed: 1}
 
-	legacy, err := OpenDataset(ds, Config{Dataset: "sports", Sim: &sim})
+	whole, err := New(WithConfig(Config{Dataset: "sports", Sim: &sim}), WithCorpus(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +30,12 @@ func TestNewMatchesOpenDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if modern.Config.Slots != legacy.Config.Slots || modern.Config.Dataset != legacy.Config.Dataset {
-		t.Fatalf("configs diverge: %+v vs %+v", modern.Config, legacy.Config)
+	if modern.Config.Slots != whole.Config.Slots || modern.Config.Dataset != whole.Config.Dataset {
+		t.Fatalf("configs diverge: %+v vs %+v", modern.Config, whole.Config)
 	}
 
 	const q = "How many questions are about tennis?"
-	a1, err := legacy.Query(context.Background(), q)
+	a1, err := whole.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestNewMatchesOpenDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a1.Text != a2.Text {
-		t.Errorf("New answer %q != OpenDataset answer %q", a2.Text, a1.Text)
+		t.Errorf("options answer %q != WithConfig answer %q", a2.Text, a1.Text)
 	}
 }
 
